@@ -52,6 +52,7 @@ constexpr double kZipfExponent = 1.05;
 constexpr size_t kCheckpoints = 10;       // divergence probes per replay
 constexpr size_t kProbesPerCheckpoint = 16;
 constexpr double kP99Budget = 2.0;        // store p99 <= 2x immutable @1%
+constexpr size_t kReopenRecords = 100000;  // WAL length of the reopen row
 
 // The fig5 universe plus explicit class membership, exactly as
 // bench_serve builds it, so the two reports measure the same knowledge.
@@ -230,11 +231,83 @@ struct RatioReport {
   size_t divergences = 0;
   size_t compactions = 0;
   size_t folded = 0;
+  double fold_ms = 0.0;  ///< wall time of the settling fold
   serve::ServeStats stats;
   std::vector<StageRow> stage_rows;
 };
 
 std::string JsonNumber(double v) { return FormatDouble(v, 3); }
+
+struct ReopenReport {
+  size_t records = 0;
+  double open_ms = 0.0;
+  size_t divergences = 0;
+};
+
+// A restart after a long uncompacted run: kReopenRecords mutations go
+// straight into a WAL (a third new text values, a quarter retractions of
+// earlier upserts), then VersionedKgStore::Open replays them. Times the
+// Open and checks the reopened store's fingerprint against the rebuild
+// oracle.
+ReopenReport MeasureReopen(const synth::EntityUniverse& u,
+                           const graph::KnowledgeGraph& base_kg) {
+  ReopenReport report;
+  report.records = kReopenRecords;
+  const std::string wal_path = "bench_store_reopen.wal";
+  std::filesystem::remove(wal_path);
+  graph::KnowledgeGraph oracle = base_kg;
+  {
+    auto wal = store::Wal::Open(wal_path);
+    KG_CHECK_OK(wal.status());
+    Rng rng(314159);
+    std::vector<store::Mutation> upserts;
+    std::vector<store::Mutation> batch;
+    const auto person = [&] {
+      return synth::EntityUniverse::PersonNodeName(
+          u.people()[rng.UniformIndex(u.people().size())].id);
+    };
+    for (size_t i = 0; i < kReopenRecords; ++i) {
+      const double roll = rng.UniformDouble();
+      store::Mutation m;
+      if (roll < 0.25 && !upserts.empty()) {
+        const store::Mutation& old = upserts[rng.UniformIndex(upserts.size())];
+        m = store::Mutation::Retract(old.subject, old.predicate, old.object,
+                                     old.subject_kind, old.object_kind);
+      } else if (roll < 0.65) {
+        m = store::Mutation::Upsert(
+            person(), "knows", person(), graph::NodeKind::kEntity,
+            graph::NodeKind::kEntity, {"reopen", 0.9, static_cast<int64_t>(i)});
+      } else {
+        m = store::Mutation::Upsert(
+            person(), "store_tag", "r:" + std::to_string(i),
+            graph::NodeKind::kEntity, graph::NodeKind::kText,
+            {"reopen", 0.9, static_cast<int64_t>(i)});
+      }
+      if (m.op == store::MutationOp::kUpsert) upserts.push_back(m);
+      ApplyToKg(&oracle, m);
+      batch.push_back(std::move(m));
+      if (batch.size() == 100) {
+        KG_CHECK_OK(wal->AppendBatch(batch));
+        batch.clear();
+      }
+    }
+    if (!batch.empty()) KG_CHECK_OK(wal->AppendBatch(batch));
+  }
+  store::StoreOptions options;
+  options.wal_path = wal_path;
+  graph::KnowledgeGraph input = base_kg;  // copied outside the timed Open
+  WallTimer clock;
+  auto reopened = store::VersionedKgStore::Open(std::move(input), options);
+  report.open_ms = clock.ElapsedSeconds() * 1e3;
+  KG_CHECK_OK(reopened.status());
+  if ((*reopened)->applied_mutations() != kReopenRecords ||
+      (*reopened)->AuthoritativeFingerprint() !=
+          graph::TripleSetFingerprint(oracle)) {
+    ++report.divergences;
+  }
+  std::filesystem::remove(wal_path);
+  return report;
+}
 
 std::string StageRowsJson(const std::vector<StageRow>& rows) {
   std::ostringstream json;
@@ -373,6 +446,7 @@ int main() {
     if (final_stats.ran) {
       ++report.compactions;
       report.folded += final_stats.folded;
+      report.fold_ms = final_stats.seconds * 1e3;
       if (final_stats.base_fingerprint !=
           serve::KgSnapshot::Compile(oracle).Fingerprint()) {
         ++report.divergences;
@@ -413,12 +487,22 @@ int main() {
               << FormatDouble(report.write_p50_us, 1) << "/"
               << FormatDouble(report.write_p99_us, 1)
               << " us; compactions " << report.compactions
+              << "; final fold " << FormatDouble(report.fold_ms, 2) << " ms"
               << "; divergences " << report.divergences
               << "; cache hit rate "
               << FormatDouble(cache_counters.HitRate() * 100.0, 1)
               << "% (" << cache_counters.hits << "/"
               << (cache_counters.hits + cache_counters.misses) << ")\n";
   }
+
+  // ---- Reopen over a long WAL ------------------------------------------
+  const ReopenReport reopen = MeasureReopen(universe, base_kg);
+  total_divergences += reopen.divergences;
+  PrintBanner(std::cout, "Reopen: " + std::to_string(reopen.records) +
+                             " WAL records, no compaction");
+  std::cout << "open (replay + first base) "
+            << FormatDouble(reopen.open_ms, 1) << " ms; divergences "
+            << reopen.divergences << "\n";
 
   // ---- Verdict ----------------------------------------------------------
   const double p99_ratio =
@@ -488,11 +572,15 @@ int main() {
            << ",\"write_p50_us\":" << JsonNumber(r.write_p50_us)
            << ",\"write_p99_us\":" << JsonNumber(r.write_p99_us)
            << ",\"compactions\":" << r.compactions
+           << ",\"fold_ms\":" << JsonNumber(r.fold_ms)
            << ",\"divergences\":" << r.divergences
            << ",\"stats\":" << r.stats.ToJson()
            << ",\"stages\":" << StageRowsJson(r.stage_rows) << "}";
     }
-    json << "],\"p99_ratio_at_1pct\":" << JsonNumber(p99_ratio)
+    json << "],\"reopen\":{\"records\":" << reopen.records
+         << ",\"open_ms\":" << JsonNumber(reopen.open_ms)
+         << ",\"divergences\":" << reopen.divergences << "}"
+         << ",\"p99_ratio_at_1pct\":" << JsonNumber(p99_ratio)
          << ",\"p99_budget\":" << JsonNumber(kP99Budget)
          << ",\"p99_gate\":\"" << (p99_gate_ok ? "ok" : "warn") << "\""
          << ",\"tail_stage_at_1pct\":\"" << tail_stage << "\""

@@ -97,10 +97,14 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
         ropts.wal_path = opts.wal_dir + "/s" + std::to_string(shard) + "r" +
                          std::to_string(r) + ".wal";
       }
+      // The last replica takes the partition itself rather than a copy.
+      const bool last = r + 1 == opts.replicas_per_shard;
       KG_ASSIGN_OR_RETURN(
           auto replica,
-          ReplicaMember::Create(shard, r, partitions[shard],
-                                std::move(dial), ropts));
+          ReplicaMember::Create(
+              shard, r,
+              last ? std::move(partitions[shard]) : partitions[shard],
+              std::move(dial), ropts));
       cluster->replicas_.push_back(std::move(replica));
     }
   }

@@ -192,6 +192,13 @@ class KnowledgeGraph {
 /// serial ≡ parallel invariant.
 uint64_t TripleSetFingerprint(const KnowledgeGraph& kg);
 
+/// One live triple's term in TripleSetFingerprint's sum, from its names —
+/// lets other triple-set representations (the versioned store's base ⊕
+/// delta view) fingerprint identically without building a graph.
+uint64_t TripleFingerprint(std::string_view subject, NodeKind subject_kind,
+                           std::string_view predicate,
+                           std::string_view object, NodeKind object_kind);
+
 }  // namespace kg::graph
 
 #endif  // KGRAPH_GRAPH_KNOWLEDGE_GRAPH_H_

@@ -214,7 +214,13 @@ void RpcServer::Stop() {
       conn->transport->Close();
     }
   }
-  impl_->queue_cv.notify_all();
+  {
+    // Workers test `running` under queue_mu before they wait, so notify
+    // under it too: a worker between its check and its wait would
+    // otherwise miss this wakeup and the join below would hang.
+    std::lock_guard<std::mutex> lock(impl_->queue_mu);
+    impl_->queue_cv.notify_all();
+  }
   if (impl_->acceptor.joinable()) impl_->acceptor.join();
   if (impl_->event_loop.joinable()) impl_->event_loop.join();
   for (auto& worker : impl_->workers) {
@@ -634,6 +640,12 @@ void RpcServer::WorkerLoop() {
       resp.message = result.status().message();
       task.span.SetAttr("error", result.status().message());
     }
+    // Close the request's span before the reply is released: a client
+    // holding its answer can rely on the server-side trace being
+    // complete (and a fixed trace clock it advances next cannot leak
+    // into this span's end time).
+    const uint64_t root_span_id = task.span.id();
+    task.span.End();
     WriteResponse(task.conn, MessageType::kQueryResponse, task.request_id,
                   EncodeQueryResponse(resp));
     task.conn->queued.fetch_sub(1, std::memory_order_acq_rel);
@@ -649,8 +661,6 @@ void RpcServer::WorkerLoop() {
       impl_->m_stage_queue_wait[kind]->Observe(queue_wait_us);
       impl_->m_stage_execute[kind]->Observe(execute_us);
     }
-    const uint64_t root_span_id = task.span.id();
-    task.span.End();
     if (obs::SlowQueryRing* ring = impl_->options.slow_ring) {
       obs::SlowQuery slow;
       slow.trace_id = task.trace_id;

@@ -1,35 +1,15 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "common/timer.h"
 #include "obs/introspect.h"
+#include "serve/query_body.h"
 
 namespace kg::serve {
 
 namespace {
-
-// Sorted-unique nodes adjacent to `id` (either edge direction). Multiple
-// predicates between the same pair collapse to one adjacency.
-std::vector<NodeId> AdjacentNodes(const KgSnapshot& snap, NodeId id) {
-  std::vector<NodeId> out;
-  out.reserve(snap.OutDegree(id) + snap.InDegree(id));
-  for (const KgSnapshot::Edge& e : snap.OutEdges(id)) {
-    out.push_back(e.second);
-  }
-  for (const KgSnapshot::Edge& e : snap.InEdges(id)) {
-    out.push_back(e.second);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::string RenderNode(const KgSnapshot& snap, NodeId id) {
-  return RenderNodeName(snap.NodeName(id), snap.NodeKindOf(id));
-}
 
 void AppendField(std::string* key, const std::string& field) {
   key->append(std::to_string(field.size()));
@@ -238,17 +218,7 @@ void QueryEngine::PublishCacheMetrics() const {
 }
 
 QueryResult QueryEngine::ExecuteUncached(const Query& query) const {
-  switch (query.kind) {
-    case QueryKind::kPointLookup:
-      return PointLookup(query);
-    case QueryKind::kNeighborhood:
-      return Neighborhood(query);
-    case QueryKind::kAttributeByType:
-      return AttributeByType(query);
-    case QueryKind::kTopKRelated:
-      return TopKRelated(query);
-  }
-  return {};
+  return ExecuteQuery(snapshot_, query);
 }
 
 std::vector<QueryResult> QueryEngine::BatchExecute(
@@ -263,83 +233,6 @@ std::vector<QueryResult> QueryEngine::BatchExecute(
                        }
                      });
   return results;
-}
-
-QueryResult QueryEngine::PointLookup(const Query& query) const {
-  const auto node = snapshot_.FindNode(query.node, query.node_kind);
-  const auto pred = snapshot_.FindPredicate(query.predicate);
-  if (!node.ok() || !pred.ok()) return {};
-  QueryResult rows;
-  for (NodeId o : snapshot_.Objects(*node, *pred)) {
-    rows.push_back(RenderNode(snapshot_, o));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-QueryResult QueryEngine::Neighborhood(const Query& query) const {
-  const auto node = snapshot_.FindNode(query.node, query.node_kind);
-  if (!node.ok()) return {};
-  QueryResult rows;
-  rows.reserve(snapshot_.OutDegree(*node) + snapshot_.InDegree(*node));
-  for (const KgSnapshot::Edge& e : snapshot_.OutEdges(*node)) {
-    rows.push_back("out\t" + std::string(snapshot_.PredicateName(e.first)) +
-                   '\t' + RenderNode(snapshot_, e.second));
-  }
-  for (const KgSnapshot::Edge& e : snapshot_.InEdges(*node)) {
-    rows.push_back("in\t" + std::string(snapshot_.PredicateName(e.first)) +
-                   '\t' + RenderNode(snapshot_, e.second));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-QueryResult QueryEngine::AttributeByType(const Query& query) const {
-  const auto cls =
-      snapshot_.FindNode(query.type_name, graph::NodeKind::kClass);
-  const auto type_pred = snapshot_.FindPredicate(query.type_predicate);
-  const auto attr_pred = snapshot_.FindPredicate(query.predicate);
-  if (!cls.ok() || !type_pred.ok() || !attr_pred.ok()) return {};
-  QueryResult rows;
-  for (NodeId s : snapshot_.Subjects(*type_pred, *cls)) {
-    const std::string subject = RenderNode(snapshot_, s);
-    for (NodeId o : snapshot_.Objects(s, *attr_pred)) {
-      rows.push_back(subject + '\t' + RenderNode(snapshot_, o));
-    }
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-QueryResult QueryEngine::TopKRelated(const Query& query) const {
-  const auto center = snapshot_.FindNode(query.node, query.node_kind);
-  if (!center.ok() || query.k == 0) return {};
-  // Score every entity m by the number of distinct length-2 paths
-  // center — n — m (shared neighbors), both edge directions, any
-  // predicate. The center itself never appears in its own shelf.
-  std::unordered_map<NodeId, size_t> score;
-  for (NodeId n : AdjacentNodes(snapshot_, *center)) {
-    if (n == *center) continue;
-    for (NodeId m : AdjacentNodes(snapshot_, n)) {
-      if (m == *center) continue;
-      if (snapshot_.NodeKindOf(m) != graph::NodeKind::kEntity) continue;
-      ++score[m];
-    }
-  }
-  std::vector<std::pair<NodeId, size_t>> ranked(score.begin(), score.end());
-  std::sort(ranked.begin(), ranked.end(),
-            [this](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return snapshot_.NodeName(a.first) <
-                     snapshot_.NodeName(b.first);
-            });
-  if (ranked.size() > query.k) ranked.resize(query.k);
-  QueryResult rows;
-  rows.reserve(ranked.size());
-  for (const auto& [m, count] : ranked) {
-    rows.push_back(RenderNode(snapshot_, m) + '\t' + std::to_string(count));
-  }
-  return rows;
 }
 
 }  // namespace kg::serve

@@ -167,10 +167,6 @@ class QueryEngine {
 
  private:
   QueryResult ExecuteCacheAware(const Query& query) const;
-  QueryResult PointLookup(const Query& query) const;
-  QueryResult Neighborhood(const Query& query) const;
-  QueryResult AttributeByType(const Query& query) const;
-  QueryResult TopKRelated(const Query& query) const;
 
   const KgSnapshot& snapshot_;
   ServeOptions options_;

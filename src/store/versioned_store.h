@@ -11,6 +11,7 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -42,8 +43,8 @@ struct StoreOptions {
   /// "store.wal.replayed_records" / "store.compaction.last_us" gauges.
   /// All updates happen on the (serialized) write path, never per read.
   /// Also feeds the write path's stage attribution: "stage_us.wal_append"
-  /// (durable log flush) and "stage_us.overlay_merge" (graph + delta
-  /// apply and epoch publish) per applied batch.
+  /// (durable log flush) and "stage_us.overlay_merge" (delta apply and
+  /// epoch publish) per applied batch.
   obs::MetricsRegistry* registry = nullptr;
   /// With `registry`, also time the read path's result-cache probe into
   /// per-class "stage_us.cache_probe.<class>" histograms. Two extra
@@ -52,7 +53,8 @@ struct StoreOptions {
 };
 
 /// One immutable MVCC version of the store: a base snapshot plus the
-/// overlay of mutations applied after the base was compiled. Readers pin
+/// overlay of mutations applied after the base was compiled, keyed in
+/// the base's id space (read them together through OverlayView). Readers pin
 /// an epoch with a `shared_ptr` and keep a frozen, consistent view for
 /// as long as they hold it, while writers publish successors; an epoch
 /// is reclaimed when its last pin drops.
@@ -67,18 +69,20 @@ struct StoreEpoch {
 /// corrections never forces a rebuild-the-world redeploy:
 ///
 ///   Apply --> WAL (durable, framed+checksummed)
-///         --> authoritative KnowledgeGraph (writer-only)
-///         --> copy-on-write MemDelta --> new StoreEpoch published
+///         --> copy-on-write id-space MemDelta --> new StoreEpoch published
 ///
-/// Reads pin an epoch and merge base CSR range reads with the overlay
-/// (retractions shadow base triples, upserts surface new ones), so every
-/// answer is byte-identical to `serve::QueryEngine` over a from-scratch
-/// rebuild at that version (store_property_test, 100 worlds). Background
-/// compaction compiles base+overlay into a fresh `KgSnapshot` on a
-/// `ThreadPool` and swaps it in atomically; because the delta keeps any
-/// entry newer than the fold line, serving is never wrong during or
-/// after the fold, and the compacted snapshot's fingerprint equals the
-/// batch-build fingerprint by construction.
+/// The base snapshot plus the delta are the only copy of the triples.
+/// Reads pin an epoch and run the one `serve::ExecuteQuery` algorithm
+/// over an OverlayView of it — CSR rows merged with the node's delta
+/// entries (retractions shadow base triples, upserts surface new ones) —
+/// so every answer is byte-identical to `serve::QueryEngine` over a
+/// from-scratch rebuild at that version (store_property_test, 100
+/// worlds). Compaction streams base ⊕ delta into a fresh `KgSnapshot`
+/// (on a `ThreadPool` when run in the background) and swaps it in
+/// atomically; because the delta keeps any entry newer than the fold
+/// line, serving is never wrong during or after the fold, and the
+/// compacted snapshot's fingerprint equals the batch-build fingerprint by
+/// construction.
 ///
 /// Concurrency contract:
 ///   - Writers (Apply*/Compact) serialize on an internal writer lock.
@@ -130,6 +134,7 @@ class VersionedKgStore {
 
   VersionedKgStore(const VersionedKgStore&) = delete;
   VersionedKgStore& operator=(const VersionedKgStore&) = delete;
+  ~VersionedKgStore();
 
   // --- Write path -------------------------------------------------------
 
@@ -180,9 +185,10 @@ class VersionedKgStore {
 
   /// Folds the overlay into a fresh base snapshot and publishes it.
   /// Runs on the calling thread; concurrent Apply keeps working (the
-  /// writer lock is held only to copy the graph and to install the
-  /// result, not while compiling). Returns `ran == false` when another
-  /// compaction is in flight.
+  /// writer lock is held only to pin the epoch at the fold line and to
+  /// re-key the newer entries and install the result, not while
+  /// building). Returns `ran == false` when another compaction is queued
+  /// or running.
   CompactionStats Compact();
 
   /// Schedules Compact() on `pool`; returns false (and does nothing)
@@ -205,9 +211,9 @@ class VersionedKgStore {
   /// Overlay entries awaiting compaction.
   size_t delta_size() const;
 
-  /// `graph::TripleSetFingerprint` of the authoritative graph — equals
-  /// the fingerprint of a from-scratch batch build that applied the
-  /// same mutation log.
+  /// `graph::TripleSetFingerprint` of the current epoch's triple set —
+  /// equals the fingerprint of a from-scratch batch build that applied
+  /// the same mutation log. O(triples).
   uint64_t AuthoritativeFingerprint() const;
 
   /// Null when caching is disabled.
@@ -230,10 +236,8 @@ class VersionedKgStore {
  private:
   VersionedKgStore() = default;
 
-  /// Applies one mutation to the authoritative graph (upsert = AddTriple
-  /// provenance-append semantics; retracting an absent triple is a
-  /// no-op). Caller holds `writer_mu_`.
-  void ApplyToGraph(const Mutation& m);
+  /// Compact() once the in-flight flag is claimed; releases it.
+  CompactionStats RunCompaction();
 
   /// The node-addressed cache keys whose answers `m` can change.
   static std::vector<std::string> AffectedCacheKeys(const Mutation& m);
@@ -270,11 +274,13 @@ class VersionedKgStore {
 
   StoreOptions options_;
   StoreMetrics metrics_{};
+  /// Frees the graph Open compiled from; joined by the destructor.
+  std::thread base_release_;
   std::optional<Wal> wal_;
 
-  /// Serializes writers; guards kg_ and next_seq_.
+  /// Serializes writers (and the install step of compaction); guards
+  /// next_seq_ and publishes of current_.
   mutable std::mutex writer_mu_;
-  graph::KnowledgeGraph kg_;
   uint64_t next_seq_ = 1;
 
   /// Guards the current-epoch pointer and gates cache fills against

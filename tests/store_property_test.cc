@@ -8,7 +8,7 @@
 //      batch build of the same knowledge, and answers are unchanged by
 //      the fold (including folds in the middle of the stream);
 //   3. BatchExecute is bit-identical at 1/2/8 threads;
-//   4. the authoritative graph fingerprints identically to the oracle
+//   4. the store's triple set fingerprints identically to the oracle
 //      after every batch.
 // Worlds come from kg::synth universes plus hostile names, duplicate
 // upserts, retractions of base and overlay triples, and resurrections.

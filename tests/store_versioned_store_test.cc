@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -322,6 +323,64 @@ TEST(VersionedStoreTest, BackgroundCompactionOnThreadPool) {
   EXPECT_FALSE(store->compaction_in_flight());
   EXPECT_EQ(store->delta_size(), 0u);
   ExpectMatchesRebuild(*store, oracle, "background compaction");
+}
+
+TEST(VersionedStoreTest, CompactInBackgroundRefusesWhileOneIsQueued) {
+  auto store = MustOpen(BaseKg());
+  ASSERT_TRUE(store
+                  ->Apply(Mutation::Upsert("alice", "knows", "dana",
+                                           NodeKind::kEntity,
+                                           NodeKind::kEntity, kProv))
+                  .ok());
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  pool.Submit([gate] { gate.wait(); });  // occupy the only worker
+  ASSERT_TRUE(store->CompactInBackground(pool));
+  // The first fold is queued behind the blocker, not yet running.
+  EXPECT_TRUE(store->compaction_in_flight());
+  EXPECT_FALSE(store->CompactInBackground(pool));
+  EXPECT_FALSE(store->Compact().ran);
+  const uint64_t version = store->version();
+  release.set_value();
+  pool.WaitIdle();
+  EXPECT_FALSE(store->compaction_in_flight());
+  // Exactly one fold ran.
+  EXPECT_EQ(store->version(), version + 1);
+  EXPECT_EQ(store->delta_size(), 0u);
+}
+
+TEST(VersionedStoreTest, FullyRetractedBaseNodeLeavesCompactedVocabulary) {
+  auto store = MustOpen(BaseKg());
+  KnowledgeGraph oracle = BaseKg();
+  // Every triple naming carol, plus one naming a brand-new node that is
+  // retracted again before the fold.
+  const std::vector<Mutation> script = {
+      Mutation::Retract("alice", "knows", "carol", NodeKind::kEntity,
+                        NodeKind::kEntity),
+      Mutation::Retract("bob", "knows", "carol", NodeKind::kEntity,
+                        NodeKind::kEntity),
+      Mutation::Retract("carol", "type", "Person", NodeKind::kEntity,
+                        NodeKind::kClass),
+      Mutation::Upsert("dana", "knows", "alice", NodeKind::kEntity,
+                       NodeKind::kEntity, kProv),
+      Mutation::Retract("dana", "knows", "alice", NodeKind::kEntity,
+                        NodeKind::kEntity),
+  };
+  for (const Mutation& m : script) {
+    ASSERT_TRUE(store->Apply(m).ok());
+    ApplyToKg(&oracle, m);
+  }
+  const size_t base_nodes = store->PinEpoch()->base->num_nodes();
+  const auto stats = store->Compact();
+  ASSERT_TRUE(stats.ran);
+  EXPECT_EQ(stats.base_fingerprint,
+            serve::KgSnapshot::Compile(oracle).Fingerprint());
+  const auto epoch = store->PinEpoch();
+  EXPECT_FALSE(epoch->base->FindNode("carol", NodeKind::kEntity).ok());
+  EXPECT_FALSE(epoch->base->FindNode("dana", NodeKind::kEntity).ok());
+  EXPECT_EQ(epoch->base->num_nodes(), base_nodes - 1);
+  ExpectMatchesRebuild(*store, oracle, "vocabulary shrink");
 }
 
 TEST(VersionedStoreTest, CacheHitsAreInvalidatedByAffectingWrites) {

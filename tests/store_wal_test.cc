@@ -291,9 +291,16 @@ TEST(WalTest, ReopenUnderConcurrentAppendRecoversBitIdenticalPrefix) {
   ASSERT_TRUE(wal.ok()) << wal.status();
   std::atomic<bool> done{false};
   std::atomic<bool> append_failed{false};
+  std::atomic<bool> reader_saw_records{false};
   std::thread writer([&] {
-    for (const Mutation& m : expected) {
-      if (!wal->Append(m).ok()) {
+    for (size_t i = 0; i < expected.size(); ++i) {
+      // Halfway, hold until the reader has captured a non-empty prefix,
+      // so at least one snapshot races live appends however the two
+      // threads are scheduled.
+      if (i == expected.size() / 2) {
+        while (!reader_saw_records.load()) std::this_thread::yield();
+      }
+      if (!wal->Append(expected[i]).ok()) {
         append_failed.store(true);
         break;
       }
@@ -319,6 +326,7 @@ TEST(WalTest, ReopenUnderConcurrentAppendRecoversBitIdenticalPrefix) {
           << "snapshot " << snapshots << ", record " << i;
     }
     max_records_seen = std::max(max_records_seen, replay.mutations.size());
+    if (max_records_seen > 0) reader_saw_records.store(true);
 
     // Reopen the snapshot as a real WAL: recovery must accept the valid
     // prefix and truncate any torn tail the racing reader captured.
