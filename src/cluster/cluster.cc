@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "rpc/transport.h"
@@ -91,6 +90,11 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
       ReplicaOptions ropts;
       ropts.registry = opts.registry;
       ropts.receiver = opts.receiver;
+      ropts.receiver.on_progress = [c = cluster.get(),
+                                    user = opts.receiver.on_progress] {
+        if (user) user();
+        c->NotifyProgress();
+      };
       ropts.tracer = opts.tracer;
       ropts.time_stages = opts.time_stages;
       if (!opts.wal_dir.empty()) {
@@ -166,36 +170,48 @@ Result<serve::QueryResult> Cluster::Execute(const serve::Query& query) {
 
 void Cluster::KillReplica(size_t shard, size_t replica) {
   this->replica(shard, replica).Kill();
+  NotifyProgress();
 }
 
 void Cluster::ReviveReplica(size_t shard, size_t replica) {
   this->replica(shard, replica).Revive();
+  NotifyProgress();
 }
 
-void Cluster::KillPrimary(size_t shard) { primaries_[shard]->Kill(); }
+void Cluster::KillPrimary(size_t shard) {
+  primaries_[shard]->Kill();
+  NotifyProgress();
+}
 
 Status Cluster::RevivePrimary(size_t shard) {
-  return primaries_[shard]->Revive();
+  const Status revived = primaries_[shard]->Revive();
+  NotifyProgress();
+  return revived;
+}
+
+bool Cluster::CaughtUp() const {
+  for (size_t shard = 0; shard < primaries_.size(); ++shard) {
+    const uint64_t end = primaries_[shard]->log_end();
+    for (size_t r = 0; r < options_.replicas_per_shard; ++r) {
+      const ReplicaMember& rep =
+          *replicas_[shard * options_.replicas_per_shard + r];
+      if (rep.alive() && rep.applied_offset() < end) return false;
+    }
+  }
+  return true;
+}
+
+void Cluster::NotifyProgress() {
+  // Under the mutex, so a waiter between its check and its wait cannot
+  // miss this.
+  std::lock_guard<std::mutex> lock(progress_mu_);
+  progress_cv_.notify_all();
 }
 
 bool Cluster::WaitForCatchUp(int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    bool caught_up = true;
-    for (size_t shard = 0; shard < primaries_.size(); ++shard) {
-      const uint64_t end = primaries_[shard]->log_end();
-      for (size_t r = 0; r < options_.replicas_per_shard; ++r) {
-        ReplicaMember& rep = replica(shard, r);
-        if (rep.alive() && rep.applied_offset() < end) {
-          caught_up = false;
-        }
-      }
-    }
-    if (caught_up) return true;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  std::unique_lock<std::mutex> lock(progress_mu_);
+  return progress_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                               [this] { return CaughtUp(); });
 }
 
 uint64_t Cluster::MaxReplicaLagBytes() const {

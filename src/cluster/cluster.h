@@ -1,8 +1,10 @@
 #ifndef KGRAPH_CLUSTER_CLUSTER_H_
 #define KGRAPH_CLUSTER_CLUSTER_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -98,7 +100,9 @@ class Cluster {
 
   /// Blocks until every *live* replica has applied its primary's full
   /// log (lag 0); false on timeout. The deterministic barrier the tests
-  /// and the bench quiesce on.
+  /// and the bench quiesce on. Re-checks when a replica applies a batch
+  /// or a member is killed or revived through this facade, never on a
+  /// timer.
   bool WaitForCatchUp(int timeout_ms);
 
   /// Cluster-wide observability scrape over the wire: every shard
@@ -122,7 +126,16 @@ class Cluster {
  private:
   explicit Cluster(ClusterOptions options);
 
+  /// Every live replica has applied its primary's whole log.
+  bool CaughtUp() const;
+  /// Wakes WaitForCatchUp to re-check.
+  void NotifyProgress();
+
   ClusterOptions options_;
+  /// Declared before the members so it outlives every receiver thread
+  /// that signals it.
+  mutable std::mutex progress_mu_;
+  std::condition_variable progress_cv_;
   /// Destruction order matters: supervisor first (it pokes replicas),
   /// then router, then replicas (receivers dial primaries), then
   /// primaries — i.e. members are declared before their watchers.

@@ -44,16 +44,20 @@ uint32_t ShardLog::FoldChain(uint32_t chain, std::string_view frames) {
 
 void ShardLog::Append(std::span<const store::Mutation> mutations) {
   if (mutations.empty()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  uint32_t chain = boundaries_.empty() ? 0 : boundaries_.back().second;
-  for (const store::Mutation& mutation : mutations) {
-    const size_t frame_start = log_.size();
-    store::AppendWalFrame(&log_, store::EncodeMutation(mutation));
-    chain = ChainStep(
-        chain, std::string_view(log_).substr(frame_start,
-                                             log_.size() - frame_start));
-    boundaries_.emplace_back(log_.size(), chain);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    uint32_t chain = boundaries_.empty() ? 0 : boundaries_.back().second;
+    for (const store::Mutation& mutation : mutations) {
+      const size_t frame_start = log_.size();
+      store::AppendWalFrame(&log_, store::EncodeMutation(mutation));
+      chain = ChainStep(
+          chain, std::string_view(log_).substr(frame_start,
+                                               log_.size() - frame_start));
+      boundaries_.emplace_back(log_.size(), chain);
+    }
   }
+  // Outside mu_: the woken shipping loop reads the log straight away.
+  NotifyGrowth();
 }
 
 uint64_t ShardLog::EndOffset() const {

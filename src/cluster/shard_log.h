@@ -33,7 +33,8 @@ class ShardLog : public rpc::WalSource {
   ShardLog(const ShardLog&) = delete;
   ShardLog& operator=(const ShardLog&) = delete;
 
-  /// Appends one frame per mutation, advancing the chain.
+  /// Appends one frame per mutation, advancing the chain, then wakes the
+  /// shipping server (WalSource::NotifyGrowth).
   void Append(std::span<const store::Mutation> mutations);
 
   // --- rpc::WalSource -----------------------------------------------------

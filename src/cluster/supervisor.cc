@@ -28,21 +28,28 @@ void ClusterSupervisor::Start() {
   if (!stop_.load(std::memory_order_acquire)) return;
   stop_.store(false, std::memory_order_release);
   thread_ = std::thread([this] {
+    const auto interval = std::chrono::milliseconds(options_.interval_ms);
+    std::unique_lock<std::mutex> wake(wake_mu_);
     while (!stop_.load(std::memory_order_acquire)) {
+      wake.unlock();
       Tick();
-      for (int waited = 0;
-           waited < options_.interval_ms &&
-           !stop_.load(std::memory_order_acquire);
-           ++waited) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      wake.lock();
+      wake_cv_.wait_for(wake, interval, [this] {
+        return stop_.load(std::memory_order_acquire);
+      });
     }
   });
 }
 
 void ClusterSupervisor::Stop() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under wake_mu_, so the sweep thread cannot miss it between its
+    // predicate check and its wait.
+    std::lock_guard<std::mutex> wake(wake_mu_);
+    stop_.store(true, std::memory_order_release);
+  }
+  wake_cv_.notify_all();
   if (thread_.joinable()) thread_.join();
 }
 

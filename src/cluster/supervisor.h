@@ -2,6 +2,7 @@
 #define KGRAPH_CLUSTER_SUPERVISOR_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -84,8 +85,12 @@ class ClusterSupervisor {
   std::vector<ScrapeTarget> scrape_targets_;
 
   std::mutex lifecycle_mu_;
-  std::thread thread_;
   std::atomic<bool> stop_{true};
+  /// The sweep thread waits out each interval on wake_cv_, so Stop()
+  /// ends the wait at once.
+  std::mutex wake_mu_;
+  std::condition_variable wake_cv_;
+  std::thread thread_;
   std::atomic<uint64_t> restarts_{0};
 
   obs::Counter* restarts_metric_ = nullptr;

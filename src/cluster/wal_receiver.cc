@@ -242,6 +242,7 @@ void WalReceiver::RunSession(rpc::ITransport* transport) {
                              std::memory_order_release);
     last_progress_ms_.store(NowMs(), std::memory_order_relaxed);
     if (batches_applied_ != nullptr) batches_applied_->Inc();
+    if (options_.on_progress) options_.on_progress();
   }
 }
 

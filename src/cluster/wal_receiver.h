@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -39,6 +40,10 @@ struct WalReceiverOptions {
   /// surfaces — leave this null (the Cluster facade does) when
   /// byte-identical trace JSON matters.
   obs::Tracer* tracer = nullptr;
+  /// Runs on the receiver thread after each verified batch is applied
+  /// and the store's watermark advanced (Cluster::WaitForCatchUp waits
+  /// on it instead of polling).
+  std::function<void()> on_progress;
 };
 
 /// One replica's end of the WAL shipping protocol. A background thread

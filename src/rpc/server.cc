@@ -1,5 +1,9 @@
 #include "rpc/server.h"
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -20,9 +24,19 @@ namespace {
 /// One poll pass reads at most this many bytes per connection, so a
 /// firehose connection cannot starve its neighbors inside a pass.
 constexpr size_t kReadChunkBytes = 64 * 1024;
-/// Event-loop nap when a full pass over every connection read nothing.
-constexpr auto kIdleNap = std::chrono::microseconds(200);
 }  // namespace
+
+void WalSource::SetGrowthListener(std::function<void()> listener) {
+  std::lock_guard<std::mutex> lock(listener_mu_);
+  listener_ = std::move(listener);
+}
+
+void WalSource::NotifyGrowth() {
+  // Called under the lock on purpose: once SetGrowthListener(nullptr)
+  // returns, no call can still be running into a stopped server.
+  std::lock_guard<std::mutex> lock(listener_mu_);
+  if (listener_) listener_();
+}
 
 QueryHandler EngineHandler(const serve::QueryEngine* engine) {
   return [engine](const serve::Query& query) {
@@ -54,6 +68,9 @@ struct RpcServer::Connection {
   bool sub_traced = false;
   TraceContext sub_trace;
   std::chrono::steady_clock::time_point last_push{};
+  /// Whether the last poll() reported this connection readable; owned by
+  /// the event-loop thread.
+  bool readable = true;
   std::atomic<bool> closed{false};
   /// Requests queued or executing on this connection (admission bound).
   std::atomic<size_t> queued{0};
@@ -84,6 +101,9 @@ struct RpcServer::Impl {
   RpcServerOptions options;
 
   std::atomic<bool> running{false};
+  /// The event loop's wake-up (eventfd): signalled on a new connection,
+  /// on Stop() and on WAL growth; drained by the event loop.
+  int wake_fd = -1;
   std::thread acceptor;
   std::thread event_loop;
   std::vector<std::thread> workers;
@@ -95,7 +115,14 @@ struct RpcServer::Impl {
   std::condition_variable queue_cv;
   std::deque<Task> queue;
 
+  /// Admitted requests not yet answered. Read lock-free by admission;
+  /// decremented under queue_mu, so Drain's predicate sees every
+  /// completion.
   std::atomic<size_t> inflight{0};
+  /// Set by Drain() (under queue_mu); workers then notify `drained_cv`
+  /// as each request completes.
+  bool draining = false;
+  std::condition_variable drained_cv;
 
   std::atomic<uint64_t> connections_accepted{0};
   std::atomic<uint64_t> requests_accepted{0};
@@ -121,6 +148,11 @@ struct RpcServer::Impl {
 
   /// Admission order of accepted queries (slow-ring tie-break key).
   std::atomic<uint64_t> admission_seq{0};
+
+  void Wake() const {
+    const uint64_t one = 1;
+    (void)!::write(wake_fd, &one, sizeof(one));
+  }
 };
 
 namespace {
@@ -138,11 +170,18 @@ RpcServer::RpcServer(QueryHandler handler,
     : impl_(std::make_unique<Impl>()), listener_(std::move(listener)) {
   impl_->handler = std::move(handler);
   impl_->options = options;
+  impl_->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
 }
 
-RpcServer::~RpcServer() { Stop(); }
+RpcServer::~RpcServer() {
+  Stop();
+  if (impl_->wake_fd >= 0) ::close(impl_->wake_fd);
+}
 
 Status RpcServer::Start() {
+  if (impl_->wake_fd < 0) {
+    return Status::Internal("rpc server: eventfd() failed");
+  }
   if (impl_->running.exchange(true)) {
     return Status::FailedPrecondition("server already started");
   }
@@ -170,6 +209,9 @@ Status RpcServer::Start() {
           *registry, obs::Stage::kEngineExecute, kind_name);
     }
   }
+  if (WalSource* log = impl_->options.wal_source) {
+    log->SetGrowthListener([impl = impl_.get()] { impl->Wake(); });
+  }
   impl_->acceptor = std::thread([this] { AcceptLoop(); });
   impl_->event_loop = std::thread([this] { EventLoop(); });
   const size_t workers = std::max<size_t>(1, impl_->options.worker_threads);
@@ -188,25 +230,25 @@ void RpcServer::Drain(int max_wait_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(max_wait_ms < 0 ? 0
                                                                   : max_wait_ms);
-  for (;;) {
-    bool queue_empty;
-    {
-      std::lock_guard<std::mutex> lock(impl_->queue_mu);
-      queue_empty = impl_->queue.empty();
-    }
-    if (queue_empty &&
-        impl_->inflight.load(std::memory_order_acquire) == 0) {
-      break;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  {
+    std::unique_lock<std::mutex> lock(impl_->queue_mu);
+    impl_->draining = true;
+    impl_->drained_cv.wait_until(lock, deadline, [this] {
+      return impl_->queue.empty() && impl_->inflight.load() == 0;
+    });
   }
   Stop();
 }
 
 void RpcServer::Stop() {
   if (!impl_->running.exchange(false)) return;
+  if (WalSource* log = impl_->options.wal_source) {
+    // After this returns no append can reach the wake fd of a server
+    // that is going away.
+    log->SetGrowthListener(nullptr);
+  }
   listener_->Shutdown();
+  impl_->Wake();
   {
     std::lock_guard<std::mutex> lock(impl_->conns_mu);
     for (auto& conn : impl_->conns) {
@@ -264,13 +306,17 @@ void RpcServer::AcceptLoop() {
     if (impl_->m_active_conns) {
       impl_->m_active_conns->Set(static_cast<int64_t>(impl_->conns.size()));
     }
+    impl_->Wake();
   }
 }
 
 void RpcServer::EventLoop() {
   std::string chunk;
+  std::vector<std::shared_ptr<Connection>> snapshot;
+  // After a poll that only reported connections readable, the next pass
+  // reads just those; any other pass reads every connection.
+  bool only_readable = false;
   while (impl_->running.load(std::memory_order_acquire)) {
-    std::vector<std::shared_ptr<Connection>> snapshot;
     {
       std::lock_guard<std::mutex> lock(impl_->conns_mu);
       snapshot = impl_->conns;
@@ -282,6 +328,7 @@ void RpcServer::EventLoop() {
         any_closed = true;
         continue;
       }
+      if (only_readable && !conn->readable) continue;
       chunk.clear();
       auto read = conn->transport->TryRead(&chunk, kReadChunkBytes);
       if (!read.ok()) {
@@ -310,8 +357,9 @@ void RpcServer::EventLoop() {
         any_closed = true;
       }
     }
+    auto next_heartbeat = std::chrono::steady_clock::time_point::max();
     if (impl_->options.wal_source != nullptr &&
-        ServeSubscriptions(snapshot)) {
+        ServeSubscriptions(snapshot, &next_heartbeat)) {
       did_work = true;
     }
     if (any_closed) {
@@ -325,12 +373,50 @@ void RpcServer::EventLoop() {
             static_cast<int64_t>(impl_->conns.size()));
       }
     }
-    if (!did_work) std::this_thread::sleep_for(kIdleNap);
+    only_readable = !did_work && !WaitForWork(snapshot, next_heartbeat);
   }
 }
 
+bool RpcServer::WaitForWork(
+    const std::vector<std::shared_ptr<Connection>>& conns,
+    std::chrono::steady_clock::time_point next_heartbeat) {
+  std::vector<pollfd> fds;
+  std::vector<Connection*> polled;
+  fds.reserve(conns.size() + 1);
+  polled.reserve(conns.size());
+  fds.push_back({impl_->wake_fd, POLLIN, 0});
+  for (const auto& conn : conns) {
+    // A closed connection stays readable forever (EOF); polling it would
+    // turn the wait into a spin. It is erased once its queue drains.
+    if (conn->closed.load(std::memory_order_acquire)) continue;
+    fds.push_back({conn->transport->ReadinessFd(), POLLIN, 0});
+    polled.push_back(conn.get());
+  }
+  int timeout_ms = -1;
+  if (next_heartbeat != std::chrono::steady_clock::time_point::max()) {
+    // Rounded up, so a heartbeat due in under a millisecond is a short
+    // sleep rather than a run of zero-timeout polls.
+    timeout_ms = static_cast<int>(std::max<int64_t>(
+        0, std::chrono::ceil<std::chrono::milliseconds>(
+               next_heartbeat - std::chrono::steady_clock::now())
+               .count()));
+  }
+  if (::poll(fds.data(), fds.size(), timeout_ms) <= 0) {
+    // Timeout (a heartbeat is due) or EINTR: read everything next pass.
+    return true;
+  }
+  for (size_t i = 0; i < polled.size(); ++i) {
+    polled[i]->readable = fds[i + 1].revents != 0;
+  }
+  if (fds[0].revents == 0) return false;
+  uint64_t count = 0;
+  (void)!::read(impl_->wake_fd, &count, sizeof(count));
+  return true;
+}
+
 bool RpcServer::ServeSubscriptions(
-    const std::vector<std::shared_ptr<Connection>>& conns) {
+    const std::vector<std::shared_ptr<Connection>>& conns,
+    std::chrono::steady_clock::time_point* next_heartbeat) {
   WalSource* log = impl_->options.wal_source;
   const auto now = std::chrono::steady_clock::now();
   const auto heartbeat =
@@ -379,6 +465,7 @@ bool RpcServer::ServeSubscriptions(
       conn->last_push = now;
       sent = true;
     }
+    *next_heartbeat = std::min(*next_heartbeat, conn->last_push + heartbeat);
   }
   return sent;
 }
@@ -649,7 +736,16 @@ void RpcServer::WorkerLoop() {
     WriteResponse(task.conn, MessageType::kQueryResponse, task.request_id,
                   EncodeQueryResponse(resp));
     task.conn->queued.fetch_sub(1, std::memory_order_acq_rel);
-    impl_->inflight.fetch_sub(1, std::memory_order_acq_rel);
+    {
+      std::lock_guard<std::mutex> lock(impl_->queue_mu);
+      impl_->inflight.fetch_sub(1, std::memory_order_acq_rel);
+      if (impl_->draining) impl_->drained_cv.notify_all();
+    }
+    if (task.conn->closed.load(std::memory_order_acquire)) {
+      // The event loop erases a closed connection once its last request
+      // is done; let it know that time has come.
+      impl_->Wake();
+    }
     if (impl_->m_inflight) impl_->m_inflight->Add(-1);
     const size_t kind = static_cast<size_t>(task.query.kind);
     if (auto* histogram = impl_->m_latency_us[kind]) {

@@ -1,11 +1,14 @@
 #ifndef KGRAPH_RPC_SERVER_H_
 #define KGRAPH_RPC_SERVER_H_
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "rpc/frame.h"
@@ -46,7 +49,9 @@ QueryHandler StoreHandler(const store::VersionedKgStore* store);
 ///
 /// Offsets are byte offsets into the log; a "boundary" is an offset
 /// that starts a frame (or the log end). Implementations must be
-/// thread-safe: the event loop reads while the owner appends.
+/// thread-safe: the event loop reads while the owner appends, and must
+/// call NotifyGrowth() after every append so a server blocked waiting
+/// for work ships the new frames at once.
 class WalSource {
  public:
   virtual ~WalSource() = default;
@@ -68,6 +73,21 @@ class WalSource {
   virtual std::string ReadFrom(uint64_t offset, size_t max_bytes,
                                uint64_t* end_offset,
                                uint32_t* chain_after) const = 0;
+
+  /// Installs (or, with an empty function, removes) the callback
+  /// NotifyGrowth() runs. The serving RpcServer installs its wake-up in
+  /// Start() and removes it in Stop(); one listener at a time.
+  void SetGrowthListener(std::function<void()> listener);
+
+ protected:
+  /// Runs the growth listener, if any. Call after the appended bytes are
+  /// visible to EndOffset()/ReadFrom(), without holding a lock that the
+  /// readers take.
+  void NotifyGrowth();
+
+ private:
+  std::mutex listener_mu_;
+  std::function<void()> listener_;
 };
 
 struct RpcServerOptions {
@@ -94,7 +114,9 @@ struct RpcServerOptions {
   WalSource* wal_source = nullptr;
   /// Heartbeat cadence on idle subscriptions (the replica's liveness
   /// signal; its receiver treats several missed intervals as a dead
-  /// primary and reconnects).
+  /// primary and reconnects). An idle server with subscribers wakes
+  /// once per interval to send them; without subscribers it sleeps
+  /// until a connection becomes readable.
   int wal_heartbeat_interval_ms = 25;
   /// Largest kWalBatch frame payload; bigger backlogs ship as several
   /// batches across event-loop passes.
@@ -112,9 +134,17 @@ struct RpcServerOptions {
 /// Multi-connection RPC front-end over an ITransportServer:
 ///
 ///   acceptor thread --> connection table --> event-loop thread
-///       (one non-blocking TryRead poll pass over every connection,
-///        frames decoded incrementally, admission decided inline)
+///       (non-blocking TryRead passes over the connections, frames
+///        decoded incrementally, admission decided inline)
 ///   --> bounded work queue --> worker pool --> handler --> response
+///
+/// The event loop never naps or spins. While passes find work it keeps
+/// passing, with no syscall beyond the reads. After a pass that found
+/// nothing it blocks in one poll() over every connection's
+/// ITransport::ReadinessFd() plus a wake eventfd, which the acceptor (a
+/// new connection), Stop()/Drain() and the WAL source (log growth)
+/// signal. Its timeout is the next subscriber heartbeat, or infinite
+/// without subscribers, so an idle server costs no CPU.
 ///
 /// Contract highlights, in the order the wire sees them:
 ///   - First message on a connection must be a handshake; the server
@@ -156,8 +186,8 @@ class RpcServer {
   void Stop();
 
   /// Graceful shutdown: stops accepting new connections, lets queued
-  /// and in-flight requests finish (bounded by `max_wait_ms`), then
-  /// Stop()s. This is what a SIGTERM handler should call — no request
+  /// and in-flight requests finish (bounded by `max_wait_ms`; the wait
+  /// ends the moment the last one completes), then Stop()s. This is what a SIGTERM handler should call — no request
   /// that was admitted dies mid-frame (examples/rpc_server.cpp).
   void Drain(int max_wait_ms = 5000);
 
@@ -173,11 +203,20 @@ class RpcServer {
 
   void AcceptLoop();
   void EventLoop();
+  /// Blocks until a connection in `conns` is readable, the wake fd fires
+  /// or `next_heartbeat` passes. Marks each polled connection's
+  /// `readable`; returns true when the wake fd fired (every connection
+  /// must then be read: the table may have grown).
+  bool WaitForWork(const std::vector<std::shared_ptr<Connection>>& conns,
+                   std::chrono::steady_clock::time_point next_heartbeat);
   /// One pass over subscribed connections: pushes a kWalBatch where the
   /// log has grown past the subscriber, a kWalHeartbeat where it has
-  /// been idle past the interval. Returns true when anything was sent.
+  /// been idle past the interval. Returns true when anything was sent,
+  /// and sets `*next_heartbeat` to the earliest time a subscriber's
+  /// heartbeat falls due (time_point::max() without subscribers).
   bool ServeSubscriptions(
-      const std::vector<std::shared_ptr<Connection>>& conns);
+      const std::vector<std::shared_ptr<Connection>>& conns,
+      std::chrono::steady_clock::time_point* next_heartbeat);
   void WorkerLoop();
   void HandleFrame(const std::shared_ptr<Connection>& conn,
                    Frame&& frame);

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,17 +21,27 @@ namespace {
 
 /// One direction of a loopback connection: an ordered byte queue with
 /// close semantics matching a socket (writes to a closed pipe fail;
-/// reads drain the buffer, then fail).
+/// reads drain the buffer, then fail). Once the reading end asks for a
+/// readiness descriptor, an eventfd mirrors "bytes buffered or closed"
+/// under `mu`: the write that makes the buffer non-empty and Close()
+/// signal it, the read that drains the buffer clears it.
 struct Pipe {
   std::mutex mu;
   std::condition_variable cv;
   std::string buf;
   bool closed = false;
+  int ready_fd = -1;
+  bool signalled = false;
+
+  ~Pipe() {
+    if (ready_fd >= 0) ::close(ready_fd);
+  }
 
   Status Write(std::string_view bytes) {
     std::lock_guard<std::mutex> lock(mu);
     if (closed) return Status::Unavailable("loopback pipe closed");
     buf.append(bytes);
+    Signal();
     cv.notify_all();
     return Status::OK();
   }
@@ -43,13 +54,37 @@ struct Pipe {
     }
     out->append(buf, 0, n);
     buf.erase(0, n);
+    if (buf.empty() && !closed && signalled) {
+      uint64_t count = 0;
+      (void)!::read(ready_fd, &count, sizeof(count));
+      signalled = false;
+    }
     return n;
   }
 
   void Close() {
     std::lock_guard<std::mutex> lock(mu);
     closed = true;
+    Signal();
     cv.notify_all();
+  }
+
+  int ReadinessFd() {
+    std::lock_guard<std::mutex> lock(mu);
+    if (ready_fd < 0) {
+      ready_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+      if (!buf.empty() || closed) Signal();
+    }
+    return ready_fd;
+  }
+
+ private:
+  // Caller holds `mu`.
+  void Signal() {
+    if (ready_fd < 0 || signalled) return;
+    const uint64_t one = 1;
+    (void)!::write(ready_fd, &one, sizeof(one));
+    signalled = true;
   }
 };
 
@@ -84,6 +119,8 @@ class InMemoryTransport : public ITransport {
     }
     return read_->Take(out, max);
   }
+
+  int ReadinessFd() override { return read_->ReadinessFd(); }
 
   void Close() override {
     read_->Close();
@@ -150,15 +187,16 @@ Result<std::unique_ptr<ITransport>> InMemoryTransportServer::Accept() {
 void InMemoryTransportServer::Shutdown() {
   std::lock_guard<std::mutex> lock(state_->mu);
   state_->shutdown = true;
+  // Like a listening socket going away: connections nobody accepted
+  // are reset, so their clients see a dead stream instead of silence.
+  for (auto& transport : state_->pending) transport->Close();
+  state_->pending.clear();
   state_->cv.notify_all();
 }
 
 // ---- TCP ----------------------------------------------------------------
 
 namespace {
-
-/// Milliseconds between shutdown-flag checks while blocked in poll().
-constexpr int kPollTickMs = 50;
 
 class TcpTransport : public ITransport {
  public:
@@ -198,25 +236,33 @@ class TcpTransport : public ITransport {
 
   Result<size_t> Read(std::string* out, size_t max,
                       int timeout_ms) override {
-    int waited_ms = 0;
-    while (!closed_.load(std::memory_order_acquire)) {
+    // One poll() bounded by the caller's timeout. Close() needs no tick
+    // to be noticed: its shutdown() makes the socket readable at once.
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(std::max(timeout_ms, 0));
+    for (;;) {
+      if (closed_.load(std::memory_order_acquire)) break;
+      int wait_ms = -1;
+      if (timeout_ms >= 0) {
+        const auto left = deadline - std::chrono::steady_clock::now();
+        wait_ms = static_cast<int>(std::max<int64_t>(
+            0, std::chrono::ceil<std::chrono::milliseconds>(left).count()));
+      }
       pollfd pfd{fd_, POLLIN, 0};
-      const int tick = timeout_ms < 0
-                           ? kPollTickMs
-                           : std::min(kPollTickMs, timeout_ms - waited_ms);
-      const int rc = ::poll(&pfd, 1, tick);
-      if (rc < 0 && errno != EINTR) {
+      const int rc = ::poll(&pfd, 1, wait_ms);
+      if (rc < 0) {
+        if (errno == EINTR) continue;
         return Status::Unavailable(std::string("tcp poll failed: ") +
                                    std::strerror(errno));
       }
-      if (rc > 0) return DoRead(out, max, 0);
-      if (timeout_ms >= 0) {
-        waited_ms += tick;
-        if (waited_ms >= timeout_ms) return size_t{0};
-      }
+      if (rc == 0) return size_t{0};  // Timeout: nothing arrived.
+      if (closed_.load(std::memory_order_acquire)) break;
+      return DoRead(out, max, 0);
     }
     return Status::Unavailable("tcp connection closed");
   }
+
+  int ReadinessFd() override { return fd_; }
 
   void Close() override {
     if (!closed_.exchange(true, std::memory_order_acq_rel)) {
@@ -296,21 +342,16 @@ TcpTransportServer::~TcpTransportServer() {
 
 Result<std::unique_ptr<ITransport>> TcpTransportServer::Accept() {
   for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shutdown_) return Status::Cancelled("tcp server shut down");
-    }
-    pollfd pfd{fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, kPollTickMs);
-    if (rc < 0 && errno != EINTR) {
-      return Status::IoError(std::string("accept poll failed: ") +
-                             std::strerror(errno));
-    }
-    if (rc <= 0) continue;
+    // A blocking accept(): Shutdown()'s shutdown() on the listening
+    // socket makes it fail with EINVAL, here or already in progress.
     sockaddr_in addr{};
     socklen_t len = sizeof(addr);
     const int conn =
         ::accept(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    if (shutdown_.load(std::memory_order_acquire)) {
+      if (conn >= 0) ::close(conn);
+      return Status::Cancelled("tcp server shut down");
+    }
     if (conn < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       return Status::IoError(std::string("accept() failed: ") +
@@ -325,8 +366,9 @@ Result<std::unique_ptr<ITransport>> TcpTransportServer::Accept() {
 }
 
 void TcpTransportServer::Shutdown() {
-  std::lock_guard<std::mutex> lock(mu_);
-  shutdown_ = true;
+  if (!shutdown_.exchange(true, std::memory_order_acq_rel)) {
+    ::shutdown(fd_, SHUT_RDWR);
+  }
 }
 
 std::string TcpTransportServer::address() const {
@@ -425,6 +467,8 @@ void ChaosTransport::MaybeGarbleRead(std::string* out, size_t before) {
     ++frames_garbled_;
   }
 }
+
+int ChaosTransport::ReadinessFd() { return inner_->ReadinessFd(); }
 
 void ChaosTransport::Close() { inner_->Close(); }
 

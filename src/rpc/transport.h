@@ -1,6 +1,7 @@
 #ifndef KGRAPH_RPC_TRANSPORT_H_
 #define KGRAPH_RPC_TRANSPORT_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -47,6 +48,15 @@ class ITransport {
   virtual Result<size_t> Read(std::string* out, size_t max,
                               int timeout_ms = -1) = 0;
 
+  /// Pollable readiness handle: a descriptor that polls readable
+  /// (POLLIN) whenever TryRead would return bytes or report the stream
+  /// closed, and stays readable until TryRead has drained the buffered
+  /// bytes — level-triggered, like a socket. It lets one thread block in
+  /// a single poll() over many streams (RpcServer's event loop). The
+  /// transport owns the descriptor; callers only poll it, and only while
+  /// they hold the transport.
+  virtual int ReadinessFd() = 0;
+
   /// Idempotent; unblocks both directions.
   virtual void Close() = 0;
 
@@ -60,7 +70,8 @@ class ITransportServer {
   virtual ~ITransportServer() = default;
 
   /// Blocks until a connection arrives (returns it) or Shutdown() is
-  /// called (returns kCancelled).
+  /// called (returns kCancelled). Nothing polls on a timer: Shutdown()
+  /// itself unblocks the wait.
   virtual Result<std::unique_ptr<ITransport>> Accept() = 0;
 
   /// Stops accepting; unblocks pending Accept() calls. Idempotent.
@@ -73,7 +84,9 @@ class ITransportServer {
 // ---- In-memory loopback -------------------------------------------------
 
 /// Same-process transport: two bounded-latency byte queues, no sockets,
-/// no kernel, no ports. This is the deterministic rig the wire-level
+/// no ports. The only kernel object is the eventfd behind ReadinessFd(),
+/// created on first use (so only the polled end of a connection has
+/// one) and signalled by the peer's Write and by Close. This is the deterministic rig the wire-level
 /// test battery runs on — byte-exact, ordering-exact, and immune to CI
 /// network flakiness — and the honest upper bound for what the protocol
 /// itself costs (bench_rpc reports it next to TCP).
@@ -87,6 +100,7 @@ class InMemoryTransportServer : public ITransportServer {
   Result<std::unique_ptr<ITransport>> Connect();
 
   Result<std::unique_ptr<ITransport>> Accept() override;
+  /// Also closes connections queued but not yet accepted.
   void Shutdown() override;
   std::string address() const override { return "loopback"; }
 
@@ -114,8 +128,7 @@ class TcpTransportServer : public ITransportServer {
 
   int fd_ = -1;
   uint16_t port_ = 0;
-  std::mutex mu_;
-  bool shutdown_ = false;
+  std::atomic<bool> shutdown_{false};
 };
 
 /// Connects to a TCP endpoint ("127.0.0.1", port).
@@ -145,6 +158,9 @@ class ChaosTransport : public ITransport {
   Result<size_t> TryRead(std::string* out, size_t max) override;
   Result<size_t> Read(std::string* out, size_t max,
                       int timeout_ms = -1) override;
+  /// The inner transport's handle: injected faults change bytes, never
+  /// when they become readable.
+  int ReadinessFd() override;
   void Close() override;
   std::string peer() const override;
 

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <set>
 #include <utility>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "obs/introspect.h"
 #include "serve/query_body.h"
@@ -44,8 +49,15 @@ Result<std::unique_ptr<VersionedKgStore>> VersionedKgStore::Open(
   // Nothing reads the source graph after the compile. Its per-triple
   // allocations take ~0.16 s to free on a 150k-triple graph, so the free
   // runs on a helper thread instead of on the open path.
-  store->base_release_ = std::thread(
-      [dead = std::move(base)]() mutable { dead = graph::KnowledgeGraph(); });
+  store->base_release_ = std::thread([dead = std::move(base)]() mutable {
+    dead = graph::KnowledgeGraph();
+#ifdef __GLIBC__
+    // The freed pages stay in the arena of the thread that built the
+    // graph, which the serving threads do not allocate from; return them
+    // to the OS instead of carrying them as resident memory.
+    malloc_trim(0);
+#endif
+  });
   if (!options.wal_path.empty()) {
     WalReplay replay;
     KG_ASSIGN_OR_RETURN(Wal wal, Wal::Open(options.wal_path, &replay));
@@ -81,26 +93,9 @@ VersionedKgStore::~VersionedKgStore() {
   if (base_release_.joinable()) base_release_.join();
 }
 
-std::vector<std::string> VersionedKgStore::AffectedCacheKeys(
-    const Mutation& m) {
-  // A mutation (s, p, o) can only change the answers of the point lookup
-  // (s, p) and the neighborhoods of s and o — the full invalidation set
-  // for the erase-based query classes.
-  return {
-      serve::Query::PointLookup(m.subject, m.predicate, m.subject_kind)
-          .CacheKey(),
-      serve::Query::Neighborhood(m.subject, m.subject_kind).CacheKey(),
-      serve::Query::Neighborhood(m.object, m.object_kind).CacheKey(),
-  };
-}
-
-void VersionedKgStore::PublishEpoch(std::shared_ptr<const StoreEpoch> epoch,
-                                    const std::function<void()>& invalidate) {
+void VersionedKgStore::PublishEpoch(std::shared_ptr<const StoreEpoch> epoch) {
   std::unique_lock<std::shared_mutex> lock(epoch_mu_);
   current_ = std::move(epoch);
-  // Cache maintenance happens inside the exclusive section so no reader
-  // can fill a stale answer between the swap and the invalidation.
-  if (invalidate) invalidate();
 }
 
 Status VersionedKgStore::Apply(const Mutation& mutation) {
@@ -126,23 +121,13 @@ Status VersionedKgStore::ApplyBatch(std::span<const Mutation> mutations) {
   auto next_delta = std::make_shared<MemDelta>(*current_->delta);
   next_delta->Apply(*current_->base, mutations, next_seq_);
   next_seq_ += mutations.size();
-  std::vector<std::string> affected;
-  if (cache_) {
-    for (const Mutation& m : mutations) {
-      for (std::string& key : AffectedCacheKeys(m)) {
-        affected.push_back(std::move(key));
-      }
-    }
-  }
   auto epoch = std::make_shared<StoreEpoch>();
   epoch->version = current_->version + 1;
   epoch->base = current_->base;
   epoch->delta = std::move(next_delta);
   const uint64_t published_version = epoch->version;
   const size_t published_delta = epoch->delta->size();
-  PublishEpoch(std::move(epoch), [&] {
-    for (const std::string& key : affected) cache_->Erase(key);
-  });
+  PublishEpoch(std::move(epoch));
   if (cache_) BumpGenerations(mutations);
   if (metrics_.stage_overlay_merge != nullptr) {
     metrics_.stage_overlay_merge->Observe(
@@ -172,11 +157,10 @@ std::string VersionedKgStore::GenTag(const serve::Query& q) const {
       // triples carrying one of those two predicates can change it.
       return "#g" + std::to_string(gen(predicate_gen_, q.predicate)) + '.' +
              std::to_string(gen(predicate_gen_, q.type_predicate));
-    case serve::QueryKind::kTopKRelated:
+    default:
+      // Top-k related, the other cached class.
       return "#g" + std::to_string(gen(
                         node_gen_, serve::RenderNodeName(q.node, q.node_kind)));
-    default:
-      return {};
   }
 }
 
@@ -251,61 +235,45 @@ Result<serve::EpochTaggedResult> VersionedKgStore::TryExecuteTagged(
 }
 
 serve::QueryResult VersionedKgStore::Execute(const serve::Query& query) const {
-  if (cache_ == nullptr) return ExecuteAt(*PinEpoch(), query);
-  const bool erase_invalidated =
-      query.kind == serve::QueryKind::kPointLookup ||
-      query.kind == serve::QueryKind::kNeighborhood;
-  // Gen-tagged classes read the tag BEFORE pinning: the pinned state is
-  // then always at-or-after the tag, so a fill can never park an older
-  // answer under a current tag. (The converse — a newer answer under an
-  // old tag — only happens when a concurrent write already retired that
-  // tag, so nothing stale survives it.) The tag lives in row 0 of the
-  // cached value — not in the key — so every query owns exactly one
-  // entry: a retired generation is overwritten in place by the next
-  // read instead of lingering as unreachable garbage that would crowd
-  // live entries out of the LRU.
+  if (cache_ == nullptr || !IsCachedClass(query.kind)) {
+    return ExecuteAt(*PinEpoch(), query);
+  }
+  // Read the tag BEFORE pinning: the pinned state is then always
+  // at-or-after the tag, so a fill can never park an older answer under
+  // a current tag. (The converse — a newer answer under an old tag —
+  // only happens when a concurrent write already retired that tag, so
+  // nothing stale survives it.) The tag lives in row 0 of the cached
+  // value — not in the key — so every query owns exactly one entry: a
+  // retired generation is overwritten in place by the next read instead
+  // of lingering as unreachable garbage that would crowd live entries
+  // out of the LRU.
   obs::Histogram* probe_hist =
       metrics_.stage_cache_probe[static_cast<size_t>(query.kind)];
   const auto t_probe = probe_hist != nullptr
                            ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
   const std::string key = query.CacheKey();
-  const std::string tag = erase_invalidated ? std::string() : GenTag(query);
+  const std::string tag = GenTag(query);
   serve::QueryResult cached;
   bool hit = false;
-  if (cache_->Get(key, &cached)) {
-    if (erase_invalidated) {
-      hit = true;
-    } else if (!cached.empty() && cached.front() == tag) {
-      cached.erase(cached.begin());
-      hit = true;
-    }
-    // Otherwise: retired generation, recompute and overwrite below.
+  if (cache_->Get(key, &cached) && !cached.empty() && cached.front() == tag) {
+    cached.erase(cached.begin());
+    hit = true;
   }
+  // Otherwise: a miss or a retired generation, recomputed and
+  // overwritten below.
   if (probe_hist != nullptr) {
     probe_hist->Observe(std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - t_probe)
                             .count());
   }
   if (hit) return cached;
-  const std::shared_ptr<const StoreEpoch> epoch = PinEpoch();
-  serve::QueryResult result = ExecuteAt(*epoch, query);
-  if (erase_invalidated) {
-    // Fill only while the epoch we computed against is still current.
-    // try_to_lock so a publisher holding the exclusive lock is never
-    // waited on (writers must not block readers); losing the race just
-    // skips the fill.
-    std::shared_lock<std::shared_mutex> lock(epoch_mu_, std::try_to_lock);
-    if (lock.owns_lock() && current_->version == epoch->version) {
-      cache_->Put(key, result);
-    }
-  } else {
-    serve::QueryResult stored;
-    stored.reserve(result.size() + 1);
-    stored.push_back(tag);
-    stored.insert(stored.end(), result.begin(), result.end());
-    cache_->Put(key, std::move(stored));
-  }
+  serve::QueryResult result = ExecuteAt(*PinEpoch(), query);
+  serve::QueryResult stored;
+  stored.reserve(result.size() + 1);
+  stored.push_back(tag);
+  stored.insert(stored.end(), result.begin(), result.end());
+  cache_->Put(key, std::move(stored));
   return result;
 }
 
@@ -370,26 +338,8 @@ VersionedKgStore::CompactionStats VersionedKgStore::RunCompaction() {
     MemDelta surviving = old_delta;
     surviving.TrimThrough(fold_seq);
     stats.folded = old_delta.size() - surviving.size();
-    std::set<size_t> shards;
-    if (cache_) {
-      // Defense in depth: cached answers are maintained incrementally by
-      // Apply and stay correct across the swap, but flushing the shards
-      // the folded mutations map to keeps the blast radius of any future
-      // merge bug bounded — and only those shards, the rest keep serving.
-      const OverlayView view{old_base, old_delta};
-      for (const MemDelta::Entry& e : old_delta.entries()) {
-        if (e.seq > fold_seq) continue;
-        Mutation m;
-        m.subject = view.NodeName(e.s);
-        m.subject_kind = view.NodeKindOf(e.s);
-        m.predicate = view.PredicateName(e.p);
-        m.object = view.NodeName(e.o);
-        m.object_kind = view.NodeKindOf(e.o);
-        for (const std::string& key : AffectedCacheKeys(m)) {
-          shards.insert(cache_->ShardOf(key));
-        }
-      }
-    }
+    // The cached classes are tagged by name-keyed generations that the
+    // fold does not change, so their entries stay valid across the swap.
     auto epoch = std::make_shared<StoreEpoch>();
     epoch->version = old->version + 1;
     epoch->delta =
@@ -398,12 +348,7 @@ VersionedKgStore::CompactionStats VersionedKgStore::RunCompaction() {
     stats.version = epoch->version;
     stats.base_fingerprint = epoch->base->Fingerprint();
     const size_t remaining_delta = epoch->delta->size();
-    PublishEpoch(std::move(epoch), [&] {
-      for (size_t shard : shards) {
-        cache_->InvalidateShard(shard);
-        ++stats.shards_invalidated;
-      }
-    });
+    PublishEpoch(std::move(epoch));
     if (metrics_.delta_size != nullptr) {
       metrics_.epoch_version->Set(static_cast<int64_t>(stats.version));
       metrics_.delta_size->Set(static_cast<int64_t>(remaining_delta));

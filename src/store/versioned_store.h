@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -47,8 +46,9 @@ struct StoreOptions {
   /// epoch publish) per applied batch.
   obs::MetricsRegistry* registry = nullptr;
   /// With `registry`, also time the read path's result-cache probe into
-  /// per-class "stage_us.cache_probe.<class>" histograms. Two extra
-  /// clock reads per cached read, so opt-in like serve's time_queries.
+  /// per-class "stage_us.cache_probe.<class>" histograms (the cached
+  /// classes only). Two extra clock reads per cached read, so opt-in
+  /// like serve's time_queries.
   bool time_stages = false;
 };
 
@@ -92,28 +92,26 @@ struct StoreEpoch {
 ///   - Mutation order is fully specified by the log; replaying the WAL
 ///     onto the same base yields a bit-identical store.
 ///
-/// Cache policy — every query class is cached, with a class-appropriate
-/// targeted invalidation:
-///   - Node-addressed classes (point lookup, neighborhood) have an exact
-///     erase set: a mutation (s, p, o) can only change the point lookup
-///     (s, p) and the neighborhoods of s and o. Apply erases exactly
-///     those keys inside the publish section, and fills are gated on the
-///     epoch still being current, so a slow reader can never poison the
-///     cache with a stale answer.
-///   - Scan-shaped classes (attribute-by-type, top-k related) are cached
-///     under generation-tagged keys instead: an attribute-by-type answer
-///     depends only on triples whose predicate is the queried attribute
-///     or the type predicate, so its tag is those two predicates'
-///     generation counters; a top-k answer depends only on the 2-hop
-///     ball around its center, so its tag is the center's node
-///     generation, and a mutation of edge (s, o) bumps {s, o}, plus
-///     N(s) when o is an entity and N(o) when s is an entity (second-hop
-///     candidates are entity-filtered, so a center two hops away only
-///     sees the edge through its entity endpoint). The tag is stored in
-///     the cached value (row 0) under a stable key, so a bump retires an
-///     entry logically and the next read overwrites it in place — no
-///     scans, no flushes, no unreachable garbage crowding the LRU, and
-///     untouched predicates/nodes keep their hits across writes.
+/// Cache policy — only the scan-shaped classes are cached:
+///   - Point lookups and neighborhoods read one CSR row merged with the
+///     node's delta span, which costs less than a cache probe (a key
+///     render, a shard lock and a copy of the answer), so they always
+///     run against the pinned epoch and writes erase nothing.
+///   - Attribute-by-type and top-k related answers are cached under
+///     generation tags: an attribute-by-type answer depends only on
+///     triples whose predicate is the queried attribute or the type
+///     predicate, so its tag is those two predicates' generation
+///     counters; a top-k answer depends only on the 2-hop ball around
+///     its center, so its tag is the center's node generation, and a
+///     mutation of edge (s, o) bumps {s, o}, plus N(s) when o is an
+///     entity and N(o) when s is an entity (second-hop candidates are
+///     entity-filtered, so a center two hops away only sees the edge
+///     through its entity endpoint). The tag is stored in the cached
+///     value (row 0) under a stable key, so a bump retires an entry
+///     logically and the next read overwrites it in place — no scans, no
+///     flushes, no unreachable garbage crowding the LRU, and untouched
+///     predicates/nodes keep their hits across writes. Generations are
+///     keyed by name, so compaction leaves every entry valid.
 class VersionedKgStore {
  public:
   struct CompactionStats {
@@ -121,7 +119,6 @@ class VersionedKgStore {
     uint64_t folded = 0;      ///< Overlay entries folded into the base.
     uint64_t version = 0;     ///< Version of the installed epoch.
     uint64_t base_fingerprint = 0;
-    size_t shards_invalidated = 0;
     double seconds = 0.0;
   };
 
@@ -152,7 +149,7 @@ class VersionedKgStore {
   std::shared_ptr<const StoreEpoch> PinEpoch() const;
 
   /// Answers `query` against the current epoch, through the result
-  /// cache when enabled.
+  /// cache when enabled and the class is cached.
   serve::QueryResult Execute(const serve::Query& query) const;
 
   /// Execute with the forward-compatibility gate: kUnavailable when the
@@ -239,11 +236,14 @@ class VersionedKgStore {
   /// Compact() once the in-flight flag is claimed; releases it.
   CompactionStats RunCompaction();
 
-  /// The node-addressed cache keys whose answers `m` can change.
-  static std::vector<std::string> AffectedCacheKeys(const Mutation& m);
+  /// Whether answers of `kind` go through the result cache (see the
+  /// class comment).
+  static bool IsCachedClass(serve::QueryKind kind) {
+    return kind == serve::QueryKind::kAttributeByType ||
+           kind == serve::QueryKind::kTopKRelated;
+  }
 
-  /// The generation suffix for `q`'s cache key ("" for node-addressed
-  /// classes, which use erase-based invalidation instead).
+  /// The generation tag a cached answer to `q` is stored under.
   std::string GenTag(const serve::Query& q) const;
 
   /// Advances the generation counters invalidated by `mutations`
@@ -251,10 +251,8 @@ class VersionedKgStore {
   /// `writer_mu_`).
   void BumpGenerations(std::span<const Mutation> mutations);
 
-  /// Publishes `epoch` and runs `invalidate` (cache maintenance) under
-  /// the epoch lock, so no stale fill can slip between the two.
-  void PublishEpoch(std::shared_ptr<const StoreEpoch> epoch,
-                    const std::function<void()>& invalidate);
+  /// Makes `epoch` the current one (caller holds `writer_mu_`).
+  void PublishEpoch(std::shared_ptr<const StoreEpoch> epoch);
 
   /// Pre-resolved registry handles (all null when options_.registry is);
   /// registration locks once in Open, never on the write path.
@@ -283,8 +281,7 @@ class VersionedKgStore {
   mutable std::mutex writer_mu_;
   uint64_t next_seq_ = 1;
 
-  /// Guards the current-epoch pointer and gates cache fills against
-  /// concurrent publishes. Shared: pin + fill; exclusive: publish.
+  /// Guards the current-epoch pointer. Shared: pin; exclusive: publish.
   mutable std::shared_mutex epoch_mu_;
   std::shared_ptr<const StoreEpoch> current_;
 

@@ -251,6 +251,95 @@ TEST(WireProtocolTest, SubscriberReceivesContiguousVerifiedBatches) {
   server.Stop();
 }
 
+/// Handshakes on `transport` and subscribes from offset 0; returns the
+/// subscription's ack heartbeat.
+Result<rpc::Frame> Subscribe(rpc::ITransport* transport,
+                             rpc::FrameDecoder* decoder) {
+  rpc::HandshakeRequest hs;
+  hs.max_schema_version = serve::kSnapshotSchemaVersion;
+  std::string out;
+  rpc::AppendFrame(&out, rpc::MessageType::kHandshakeRequest, 1,
+                   rpc::EncodeHandshakeRequest(hs));
+  KG_RETURN_IF_ERROR(transport->Write(out));
+  KG_ASSIGN_OR_RETURN(rpc::Frame hs_frame, ReadOneFrame(transport, decoder));
+  if (hs_frame.type != rpc::MessageType::kHandshakeResponse) {
+    return Status::Internal("expected a handshake response");
+  }
+  out.clear();
+  rpc::AppendFrame(&out, rpc::MessageType::kWalSubscribe, 2,
+                   rpc::EncodeWalSubscribe(rpc::WalSubscribe{}));
+  KG_RETURN_IF_ERROR(transport->Write(out));
+  return ReadOneFrame(transport, decoder);
+}
+
+// The shipping loop sleeps between heartbeats instead of polling: an
+// idle subscription gets heartbeats at the configured cadence (not
+// faster), and an Append with no other traffic reaches the subscriber
+// at once, long before the next heartbeat would have carried it.
+TEST(WireProtocolTest, AppendWakesIdleSubscriberAndHeartbeatsKeepInterval) {
+  const auto ms_since = [](std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t)
+        .count();
+  };
+  for (const int heartbeat_ms : {40, 5000}) {
+    SCOPED_TRACE("heartbeat " + std::to_string(heartbeat_ms) + " ms");
+    ShardLog log;
+    auto listener = std::make_unique<rpc::InMemoryTransportServer>();
+    rpc::InMemoryTransportServer* loopback = listener.get();
+    rpc::RpcServerOptions sopts;
+    sopts.worker_threads = 1;
+    sopts.wal_source = &log;
+    sopts.wal_heartbeat_interval_ms = heartbeat_ms;
+    rpc::RpcServer server(
+        [](const Query&) -> Result<serve::QueryResult> {
+          return serve::QueryResult{};
+        },
+        std::move(listener), sopts);
+    ASSERT_TRUE(server.Start().ok());
+    auto dialed = loopback->Connect();
+    ASSERT_TRUE(dialed.ok());
+    std::unique_ptr<rpc::ITransport> transport = std::move(*dialed);
+    rpc::FrameDecoder decoder;
+    auto ack = Subscribe(transport.get(), &decoder);
+    ASSERT_TRUE(ack.ok()) << ack.status();
+    ASSERT_EQ(ack->type, rpc::MessageType::kWalHeartbeat);
+
+    if (heartbeat_ms < 1000) {
+      // Idle: five heartbeats take at least five intervals (less a
+      // little delivery jitter) and keep coming.
+      constexpr int kBeats = 5;
+      const auto idle_from = std::chrono::steady_clock::now();
+      for (int i = 0; i < kBeats; ++i) {
+        auto frame = ReadOneFrame(transport.get(), &decoder);
+        ASSERT_TRUE(frame.ok()) << frame.status();
+        ASSERT_EQ(frame->type, rpc::MessageType::kWalHeartbeat);
+      }
+      EXPECT_GE(ms_since(idle_from), (kBeats - 0.5) * heartbeat_ms);
+    }
+
+    // Growth wakes the loop: the batch arrives within a fraction of the
+    // heartbeat interval.
+    const auto appended = std::chrono::steady_clock::now();
+    log.Append(SomeMutations(3));
+    for (;;) {
+      auto frame = ReadOneFrame(transport.get(), &decoder);
+      ASSERT_TRUE(frame.ok()) << frame.status();
+      if (frame->type == rpc::MessageType::kWalHeartbeat) continue;
+      ASSERT_EQ(frame->type, rpc::MessageType::kWalBatch);
+      auto batch = rpc::DecodeWalBatch(frame->body);
+      ASSERT_TRUE(batch.ok());
+      EXPECT_EQ(batch->end_offset, log.EndOffset());
+      break;
+    }
+    if (heartbeat_ms >= 1000) {
+      EXPECT_LT(ms_since(appended), heartbeat_ms / 2.0);
+    }
+    transport->Close();
+    server.Stop();
+  }
+}
+
 TEST(WireProtocolTest, NonBoundarySubscribeOffsetIsRefused) {
   ShardLog log;
   log.Append(SomeMutations(3));

@@ -1,7 +1,8 @@
 // VersionedKgStore unit suite: overlay reads vs a from-scratch rebuild,
 // upsert/retract/resurrect semantics, WAL crash recovery (bit-identical
 // state), compaction folding + fingerprint equality with a batch build,
-// targeted cache invalidation, and thread-count-invariant BatchExecute.
+// generation-tagged cache invalidation, and thread-count-invariant
+// BatchExecute.
 
 #include "store/versioned_store.h"
 
@@ -390,29 +391,34 @@ TEST(VersionedStoreTest, CacheHitsAreInvalidatedByAffectingWrites) {
   auto store = MustOpen(BaseKg(), options);
   ASSERT_NE(store->cache(), nullptr);
 
-  const Query affected = Query::PointLookup("alice", "knows");
-  const Query bystander = Query::Neighborhood("carol");
+  const Query affected = Query::AttributeByType("Person", "knows");
+  const Query bystander = Query::AttributeByType("Person", "name");
   const QueryResult first = store->Execute(affected);
   const QueryResult second = store->Execute(affected);
   EXPECT_EQ(first, second);
-  (void)store->Execute(bystander);
+  const QueryResult bystander_before = store->Execute(bystander);
   auto counters = store->cache()->counters();
   EXPECT_GE(counters.hits, 1u);
 
-  // A write touching (alice, knows, dana) must invalidate the point
-  // lookup and both neighborhoods — and nothing else.
+  // Point lookups and neighborhoods never touch the cache.
+  (void)store->Execute(Query::PointLookup("alice", "knows"));
+  (void)store->Execute(Query::Neighborhood("alice"));
+  const auto after_bypass = store->cache()->counters();
+  EXPECT_EQ(after_bypass.hits, counters.hits);
+  EXPECT_EQ(after_bypass.misses, counters.misses);
+
+  // A write of a `knows` triple retires the cached `knows` answer; the
+  // `name` answer is untouched.
   ASSERT_TRUE(store->Apply(Mutation::Upsert("alice", "knows", "dana",
                                             NodeKind::kEntity,
                                             NodeKind::kEntity, kProv))
                   .ok());
-  QueryResult updated = store->Execute(affected);
-  ASSERT_EQ(updated.size(), first.size() + 1);
-  // The fresh answer includes the new object and is served consistently
-  // (second read hits the refilled entry).
+  const QueryResult updated = store->Execute(affected);
+  EXPECT_NE(updated, first);
+  // The fresh answer is served consistently (the second read hits the
+  // refilled entry).
   EXPECT_EQ(store->Execute(affected), updated);
-
-  counters = store->cache()->counters();
-  EXPECT_GE(counters.invalidations, 1u);
+  EXPECT_EQ(store->Execute(bystander), bystander_before);
 
   // Cached answers always equal uncached recomputation.
   KnowledgeGraph oracle = BaseKg();
