@@ -90,11 +90,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
       ReplicaOptions ropts;
       ropts.registry = opts.registry;
       ropts.receiver = opts.receiver;
-      ropts.receiver.on_progress = [c = cluster.get(),
-                                    user = opts.receiver.on_progress] {
-        if (user) user();
-        c->NotifyProgress();
-      };
       ropts.tracer = opts.tracer;
       ropts.time_stages = opts.time_stages;
       if (!opts.wal_dir.empty()) {
@@ -108,7 +103,8 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
           ReplicaMember::Create(
               shard, r,
               last ? std::move(partitions[shard]) : partitions[shard],
-              std::move(dial), ropts));
+              std::move(dial), ropts,
+              [c = cluster.get()] { c->NotifyProgress(); }));
       cluster->replicas_.push_back(std::move(replica));
     }
   }

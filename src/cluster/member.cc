@@ -142,7 +142,8 @@ ReplicaMember::ReplicaMember(size_t shard, size_t index,
 
 Result<std::unique_ptr<ReplicaMember>> ReplicaMember::Create(
     size_t shard, size_t index, graph::KnowledgeGraph base,
-    rpc::TransportFactory dial, ReplicaOptions options) {
+    rpc::TransportFactory dial, ReplicaOptions options,
+    std::function<void()> on_progress) {
   auto member = std::unique_ptr<ReplicaMember>(
       new ReplicaMember(shard, index, std::move(options)));
 
@@ -173,7 +174,7 @@ Result<std::unique_ptr<ReplicaMember>> ReplicaMember::Create(
   ropts.registry = member->options_.registry;
   member->receiver_ = std::make_unique<WalReceiver>(
       std::move(dial), member->store_.get(), initial_chain, member->label_,
-      ropts);
+      ropts, std::move(on_progress));
   member->receiver_->Start();
   return member;
 }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -152,9 +153,12 @@ class ReplicaMember : public ShardMember {
   /// `base` must be the same shard partition the primary was built
   /// from; `dial` reaches the primary's shipping endpoint (wrap with
   /// ChaosConnectFactory / ChaosTransport for fault drills).
+  /// `on_progress` is handed to the WalReceiver: it runs after each
+  /// applied batch.
   static Result<std::unique_ptr<ReplicaMember>> Create(
       size_t shard, size_t index, graph::KnowledgeGraph base,
-      rpc::TransportFactory dial, ReplicaOptions options = {});
+      rpc::TransportFactory dial, ReplicaOptions options = {},
+      std::function<void()> on_progress = nullptr);
   ~ReplicaMember() override;
 
   /// Stops the receiver and refuses queries until Revive().

@@ -54,11 +54,13 @@ Result<rpc::Frame> ReadFrame(rpc::ITransport* transport,
 WalReceiver::WalReceiver(rpc::TransportFactory dial,
                          store::VersionedKgStore* store,
                          uint32_t initial_chain, std::string label,
-                         WalReceiverOptions options)
+                         WalReceiverOptions options,
+                         std::function<void()> on_progress)
     : dial_(std::move(dial)),
       store_(store),
       label_(std::move(label)),
       options_(options),
+      on_progress_(std::move(on_progress)),
       chain_(initial_chain) {
   last_progress_ms_.store(NowMs(), std::memory_order_relaxed);
   if (options_.registry != nullptr) {
@@ -242,7 +244,7 @@ void WalReceiver::RunSession(rpc::ITransport* transport) {
                              std::memory_order_release);
     last_progress_ms_.store(NowMs(), std::memory_order_relaxed);
     if (batches_applied_ != nullptr) batches_applied_->Inc();
-    if (options_.on_progress) options_.on_progress();
+    if (on_progress_) on_progress_();
   }
 }
 

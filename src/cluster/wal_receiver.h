@@ -40,10 +40,6 @@ struct WalReceiverOptions {
   /// surfaces — leave this null (the Cluster facade does) when
   /// byte-identical trace JSON matters.
   obs::Tracer* tracer = nullptr;
-  /// Runs on the receiver thread after each verified batch is applied
-  /// and the store's watermark advanced (Cluster::WaitForCatchUp waits
-  /// on it instead of polling).
-  std::function<void()> on_progress;
 };
 
 /// One replica's end of the WAL shipping protocol. A background thread
@@ -67,9 +63,12 @@ class WalReceiver {
   /// `store` must outlive the receiver; `initial_chain` is the chain
   /// value at the store's applied watermark (0 for a fresh replica, or
   /// folded over the local WAL for one recovering from disk).
+  /// `on_progress`, if set, runs on the receiver thread after each
+  /// verified batch is applied and the store's watermark advanced.
   WalReceiver(rpc::TransportFactory dial, store::VersionedKgStore* store,
               uint32_t initial_chain, std::string label,
-              WalReceiverOptions options = {});
+              WalReceiverOptions options = {},
+              std::function<void()> on_progress = nullptr);
   ~WalReceiver();
 
   WalReceiver(const WalReceiver&) = delete;
@@ -110,6 +109,7 @@ class WalReceiver {
   store::VersionedKgStore* store_;
   std::string label_;
   WalReceiverOptions options_;
+  std::function<void()> on_progress_;
 
   /// Chain value at store_->applied_watermark(); only the receiver
   /// thread touches it while running.

@@ -68,9 +68,6 @@ struct RpcServer::Connection {
   bool sub_traced = false;
   TraceContext sub_trace;
   std::chrono::steady_clock::time_point last_push{};
-  /// Whether the last poll() reported this connection readable; owned by
-  /// the event-loop thread.
-  bool readable = true;
   std::atomic<bool> closed{false};
   /// Requests queued or executing on this connection (admission bound).
   std::atomic<size_t> queued{0};
@@ -313,9 +310,6 @@ void RpcServer::AcceptLoop() {
 void RpcServer::EventLoop() {
   std::string chunk;
   std::vector<std::shared_ptr<Connection>> snapshot;
-  // After a poll that only reported connections readable, the next pass
-  // reads just those; any other pass reads every connection.
-  bool only_readable = false;
   while (impl_->running.load(std::memory_order_acquire)) {
     {
       std::lock_guard<std::mutex> lock(impl_->conns_mu);
@@ -328,7 +322,6 @@ void RpcServer::EventLoop() {
         any_closed = true;
         continue;
       }
-      if (only_readable && !conn->readable) continue;
       chunk.clear();
       auto read = conn->transport->TryRead(&chunk, kReadChunkBytes);
       if (!read.ok()) {
@@ -373,24 +366,21 @@ void RpcServer::EventLoop() {
             static_cast<int64_t>(impl_->conns.size()));
       }
     }
-    only_readable = !did_work && !WaitForWork(snapshot, next_heartbeat);
+    if (!did_work) WaitForWork(snapshot, next_heartbeat);
   }
 }
 
-bool RpcServer::WaitForWork(
+void RpcServer::WaitForWork(
     const std::vector<std::shared_ptr<Connection>>& conns,
     std::chrono::steady_clock::time_point next_heartbeat) {
   std::vector<pollfd> fds;
-  std::vector<Connection*> polled;
   fds.reserve(conns.size() + 1);
-  polled.reserve(conns.size());
   fds.push_back({impl_->wake_fd, POLLIN, 0});
   for (const auto& conn : conns) {
     // A closed connection stays readable forever (EOF); polling it would
     // turn the wait into a spin. It is erased once its queue drains.
     if (conn->closed.load(std::memory_order_acquire)) continue;
     fds.push_back({conn->transport->ReadinessFd(), POLLIN, 0});
-    polled.push_back(conn.get());
   }
   int timeout_ms = -1;
   if (next_heartbeat != std::chrono::steady_clock::time_point::max()) {
@@ -401,17 +391,12 @@ bool RpcServer::WaitForWork(
                next_heartbeat - std::chrono::steady_clock::now())
                .count()));
   }
-  if (::poll(fds.data(), fds.size(), timeout_ms) <= 0) {
-    // Timeout (a heartbeat is due) or EINTR: read everything next pass.
-    return true;
+  // Timeout (a heartbeat is due), EINTR or readiness: the next pass
+  // reads every connection either way.
+  if (::poll(fds.data(), fds.size(), timeout_ms) > 0 && fds[0].revents) {
+    uint64_t count = 0;
+    (void)!::read(impl_->wake_fd, &count, sizeof(count));
   }
-  for (size_t i = 0; i < polled.size(); ++i) {
-    polled[i]->readable = fds[i + 1].revents != 0;
-  }
-  if (fds[0].revents == 0) return false;
-  uint64_t count = 0;
-  (void)!::read(impl_->wake_fd, &count, sizeof(count));
-  return true;
 }
 
 bool RpcServer::ServeSubscriptions(

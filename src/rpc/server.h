@@ -204,10 +204,8 @@ class RpcServer {
   void AcceptLoop();
   void EventLoop();
   /// Blocks until a connection in `conns` is readable, the wake fd fires
-  /// or `next_heartbeat` passes. Marks each polled connection's
-  /// `readable`; returns true when the wake fd fired (every connection
-  /// must then be read: the table may have grown).
-  bool WaitForWork(const std::vector<std::shared_ptr<Connection>>& conns,
+  /// or `next_heartbeat` passes, and drains the wake fd.
+  void WaitForWork(const std::vector<std::shared_ptr<Connection>>& conns,
                    std::chrono::steady_clock::time_point next_heartbeat);
   /// One pass over subscribed connections: pushes a kWalBatch where the
   /// log has grown past the subscriber, a kWalHeartbeat where it has

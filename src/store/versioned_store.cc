@@ -38,9 +38,10 @@ Result<std::unique_ptr<VersionedKgStore>> VersionedKgStore::Open(
         &obs::StageHistogram(*reg, obs::Stage::kOverlayMerge);
     if (options.time_stages) {
       for (size_t k = 0; k < serve::kNumQueryKinds; ++k) {
+        const auto kind = static_cast<serve::QueryKind>(k);
+        if (!IsCachedClass(kind)) continue;
         store->metrics_.stage_cache_probe[k] = &obs::StageHistogram(
-            *reg, obs::Stage::kCacheProbe,
-            serve::QueryKindName(static_cast<serve::QueryKind>(k)));
+            *reg, obs::Stage::kCacheProbe, serve::QueryKindName(kind));
       }
     }
   }

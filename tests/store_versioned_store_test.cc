@@ -384,6 +384,14 @@ TEST(VersionedStoreTest, FullyRetractedBaseNodeLeavesCompactedVocabulary) {
   ExpectMatchesRebuild(*store, oracle, "vocabulary shrink");
 }
 
+// The cache entry stored for `query`, generation tag included (empty
+// when absent). Probing counts a cache hit.
+QueryResult RawCacheEntry(const VersionedKgStore& store, const Query& query) {
+  QueryResult entry;
+  store.cache()->Get(query.CacheKey(), &entry);
+  return entry;
+}
+
 TEST(VersionedStoreTest, CacheHitsAreInvalidatedByAffectingWrites) {
   StoreOptions options;
   options.cache_capacity = 64;
@@ -409,16 +417,25 @@ TEST(VersionedStoreTest, CacheHitsAreInvalidatedByAffectingWrites) {
 
   // A write of a `knows` triple retires the cached `knows` answer; the
   // `name` answer is untouched.
+  const QueryResult affected_entry_before = RawCacheEntry(*store, affected);
+  const QueryResult bystander_entry_before = RawCacheEntry(*store, bystander);
+  ASSERT_EQ(bystander_entry_before.size(), bystander_before.size() + 1);
   ASSERT_TRUE(store->Apply(Mutation::Upsert("alice", "knows", "dana",
                                             NodeKind::kEntity,
                                             NodeKind::kEntity, kProv))
                   .ok());
   const QueryResult updated = store->Execute(affected);
-  EXPECT_NE(updated, first);
+  ASSERT_EQ(updated.size(), first.size() + 1);
   // The fresh answer is served consistently (the second read hits the
   // refilled entry).
   EXPECT_EQ(store->Execute(affected), updated);
+  // The stored entries carry their generation tag in row 0. The write
+  // retired the `knows` entry's tag but left the `name` entry exactly as
+  // it was, so the bystander read after the write was a tag-matching
+  // hit, not a recomputation that happens to give the same rows.
+  EXPECT_NE(RawCacheEntry(*store, affected), affected_entry_before);
   EXPECT_EQ(store->Execute(bystander), bystander_before);
+  EXPECT_EQ(RawCacheEntry(*store, bystander), bystander_entry_before);
 
   // Cached answers always equal uncached recomputation.
   KnowledgeGraph oracle = BaseKg();
